@@ -8,7 +8,7 @@ inference, and the crowd platform's answer pipeline.
 import numpy as np
 import pytest
 
-from repro.bayesnet import BayesianNetwork, hill_climb
+from repro.bayesnet import BayesianNetwork, MissingValuePosteriors, hill_climb
 from repro.crowd import ComparisonTask, SimulatedCrowdPlatform
 from repro.ctable import dominator_sets_baseline, dominator_sets_fast, var_greater_const
 from repro.datasets import generate_nba, generate_synthetic
@@ -68,6 +68,17 @@ def test_bn_posterior_queries(benchmark, once):
                 for ev in evidence_sets]
 
     once(benchmark, query_all)
+
+
+def test_bn_precompute_all(benchmark, once):
+    dataset = generate_synthetic(n_objects=1500, missing_rate=0.1, seed=1)
+    network = BayesianNetwork.fit(
+        dataset.values, dataset.domain_sizes, mask=dataset.mask
+    )
+    service = MissingValuePosteriors(network, dataset)
+    variables, __ = once(benchmark, service.precompute_all)
+    benchmark.extra_info["cells"] = len(variables)
+    benchmark.extra_info["patterns"] = service.stats["signature_groups"]
 
 
 def test_crowd_platform_round_trip(benchmark, once):

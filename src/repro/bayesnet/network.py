@@ -103,15 +103,17 @@ class BayesianNetwork:
         """Exact posterior pmf of ``target`` given the evidence dict."""
         return self._elimination().query(target, evidence)
 
-    def posterior_multi(
-        self, targets: Sequence[int], evidence: Dict[int, int]
+    def posterior_batch(
+        self, targets: Sequence[int], observed: Sequence[int], values: np.ndarray
     ) -> List[np.ndarray]:
-        """Exact posteriors of several nodes sharing one evidence dict.
+        """Exact posteriors of several nodes for a batch of evidence rows.
 
-        Evidence restriction runs once for the whole target list; each
-        target's pmf is identical to a separate :meth:`posterior` call.
+        Row ``r`` of ``values`` (shape ``(R, len(observed))``) holds the
+        values of the ``observed`` nodes; one ``(R, card)`` array per
+        target comes back, row ``r`` bit-identical to a separate
+        :meth:`posterior` call with that row's evidence.
         """
-        return self._elimination().query_multi(targets, evidence)
+        return self._elimination().query_batch(targets, observed, values)
 
     def _elimination(self) -> VariableElimination:
         if self._ve is None:

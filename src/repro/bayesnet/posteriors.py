@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..datasets.dataset import MISSING, IncompleteDataset, Variable
+from ..datasets.dataset import IncompleteDataset, Variable
 from .network import BayesianNetwork
 
 
@@ -36,7 +36,7 @@ class MissingValuePosteriors:
         self._network = network
         self._dataset = dataset
         self._cache: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], np.ndarray] = {}
-        #: populated by :meth:`precompute_all` (signature grouping counters)
+        #: populated by :meth:`precompute_all` (pattern grouping counters)
         self.stats: Dict[str, int] = {}
 
     def distribution(self, variable: Variable) -> np.ndarray:
@@ -53,55 +53,63 @@ class MissingValuePosteriors:
         return cached.copy()
 
     def precompute_all(self) -> Tuple[List[Variable], np.ndarray]:
-        """Posterior pmfs of every missing cell, one inference per signature.
+        """Posterior pmfs of every missing cell, one elimination per pattern.
 
-        Objects sharing an *observed-evidence signature* (identical value
-        rows, missing cells included) have identical posteriors for every
-        missing attribute, and all missing attributes of one signature
-        share their evidence restriction.  Rows with missing cells are
-        therefore grouped by ``np.unique(..., axis=0)`` and each unique
-        signature is pushed once through
-        :meth:`BayesianNetwork.posterior_multi` -- replacing the historical
-        per-cell inference loop with one bulk pass per signature.
+        A *missing pattern* is the set of attributes missing in a row.
+        Rows sharing a pattern share every factor scope and the
+        elimination order; only their evidence values differ.  Rows with
+        missing cells are therefore grouped by mask row, duplicate value
+        rows within a group are folded together, and each group goes
+        through :meth:`BayesianNetwork.posterior_batch` once: a batched
+        variable elimination per missing attribute of the pattern, over
+        all of the group's distinct evidence rows at once.
 
         Returns ``(variables, dense)``: the dataset's missing cells in
         :meth:`IncompleteDataset.variables` order and a
         ``(n_variables, max_domain)`` float array whose row ``i`` holds the
         pmf of ``variables[i]``, zero-padded past the attribute's domain
         (ready to feed :class:`DistributionStore` construction).  Each pmf
-        is identical to a per-cell :meth:`distribution` call.
+        is bit-identical to a per-cell :meth:`distribution` call.
 
-        ``self.stats`` records ``signature_groups`` (unique signatures),
-        ``cells`` (missing cells served) and ``inference_calls``
-        (posterior eliminations actually run).
+        ``self.stats`` records ``signature_groups`` (missing patterns),
+        ``cells`` (missing cells served) and ``inference_calls`` (batched
+        eliminations run: one per missing attribute of each pattern).
         """
         dataset = self._dataset
         variables = list(dataset.variables())
-        max_domain = max(dataset.domain_sizes) if dataset.domain_sizes else 0
+        sizes = dataset.domain_sizes
+        max_domain = max(sizes) if sizes else 0
         dense = np.zeros((len(variables), max_domain))
         if not variables:
             self.stats = {"signature_groups": 0, "cells": 0, "inference_calls": 0}
             return variables, dense
 
-        rows = sorted({obj for obj, __ in variables})
-        signatures, inverse = np.unique(
-            dataset.values[rows], axis=0, return_inverse=True
+        mask = dataset.mask
+        # dense row of every missing cell (variables() is row-major).
+        cell_index = np.full(mask.shape, -1, dtype=np.int64)
+        cell_index[mask] = np.arange(len(variables))
+        rows = np.flatnonzero(mask.any(axis=1))
+        patterns, pattern_of_row = np.unique(
+            mask[rows], axis=0, return_inverse=True
         )
+        pattern_of_row = pattern_of_row.reshape(-1)
         inference_calls = 0
-        group_pmfs: List[Dict[int, np.ndarray]] = []
-        for signature in signatures:
-            cells = signature.tolist()
-            evidence = {j: int(v) for j, v in enumerate(cells) if v != MISSING}
-            targets = [j for j, v in enumerate(cells) if v == MISSING]
-            pmfs = self._network.posterior_multi(targets, evidence)
+        for p, pattern in enumerate(patterns):
+            members = rows[pattern_of_row == p]
+            targets = np.flatnonzero(pattern).tolist()
+            observed = np.flatnonzero(~pattern).tolist()
+            evidence, row_of_member = np.unique(
+                dataset.values[np.ix_(members, observed)],
+                axis=0,
+                return_inverse=True,
+            )
+            row_of_member = row_of_member.reshape(-1)
+            pmfs = self._network.posterior_batch(targets, observed, evidence)
             inference_calls += len(targets)
-            group_pmfs.append(dict(zip(targets, pmfs)))
-        group_of_row = {obj: int(inverse[i]) for i, obj in enumerate(rows)}
-        for i, (obj, attr) in enumerate(variables):
-            pmf = group_pmfs[group_of_row[obj]][attr]
-            dense[i, : pmf.size] = pmf
+            for target, pmf in zip(targets, pmfs):
+                dense[cell_index[members, target], : sizes[target]] = pmf[row_of_member]
         self.stats = {
-            "signature_groups": len(signatures),
+            "signature_groups": len(patterns),
             "cells": len(variables),
             "inference_calls": inference_calls,
         }

@@ -156,6 +156,7 @@ def learn_distributions(
     config: BayesCrowdConfig,
     network: Optional[BayesianNetwork] = None,
     stats: Optional[Dict[str, int]] = None,
+    timings: Optional[Dict[str, float]] = None,
 ) -> Dict[Variable, np.ndarray]:
     """Preprocessing: one pmf per missing cell.
 
@@ -166,10 +167,13 @@ def learn_distributions(
     complete rows exist to support structure learning, the empirical
     column marginals are used instead.
 
-    Posteriors are precomputed in bulk -- one inference pass per unique
-    observed-evidence signature instead of one per missing cell; pass a
-    ``stats`` dict to receive the grouping counters
-    (``signature_groups``, ``cells``, ``inference_calls``).
+    Posteriors are precomputed in bulk -- one batched elimination per
+    missing pattern (set of missing attributes) instead of one per
+    missing cell; pass a ``stats`` dict to receive the grouping counters
+    (``signature_groups``: patterns, ``cells``, ``inference_calls``:
+    batched eliminations).  A ``timings`` dict receives the wall seconds
+    of the stages that ran: ``structure`` (structure search plus CPT
+    fitting) and ``posteriors`` (the posterior precompute).
     """
     source = config.distribution_source
     if source == "uniform":
@@ -180,6 +184,7 @@ def learn_distributions(
     if network is None:
         if dataset.n_objects < 10:
             return empirical_distributions(dataset, smoothing=config.bn_smoothing)
+        structure_start = time.perf_counter()
         rng = np.random.default_rng(config.seed)
         data = dataset.values
         mask = dataset.mask
@@ -212,8 +217,13 @@ def learn_distributions(
             dag=dag,
             mask=mask,
         )
+        if timings is not None:
+            timings["structure"] = time.perf_counter() - structure_start
+    posteriors_start = time.perf_counter()
     service = MissingValuePosteriors(network, dataset)
     distributions = service.all_distributions()
+    if timings is not None:
+        timings["posteriors"] = time.perf_counter() - posteriors_start
     if stats is not None:
         stats.update(service.stats)
     return distributions
@@ -297,9 +307,16 @@ class BayesCrowd:
         #: posterior-precompute grouping counters (empty unless the BN
         #: posterior path ran); absorbed into the run metrics
         self.preprocess_stats: Dict[str, int] = {}
+        #: wall seconds of the preprocessing stages that ran (``structure``,
+        #: ``posteriors``); traced as children of the ``preprocess`` span
+        self.preprocess_timings: Dict[str, float] = {}
         if distributions is None:
             distributions = learn_distributions(
-                dataset, self.config, network=network, stats=self.preprocess_stats
+                dataset,
+                self.config,
+                network=network,
+                stats=self.preprocess_stats,
+                timings=self.preprocess_timings,
             )
             #: wall time of the preprocessing phase (distribution learning);
             #: 0 when precomputed distributions were supplied
@@ -440,7 +457,9 @@ class BayesCrowd:
         # Preprocessing happened in __init__ (distributions may be shared
         # across runs); record it as a back-dated span so the phase still
         # shows up in this run's histograms and trace.
-        tracer.record("preprocess", self.preprocess_seconds)
+        preprocess = tracer.record("preprocess", self.preprocess_seconds)
+        for stage, seconds in self.preprocess_timings.items():
+            tracer.record("preprocess.%s" % stage, seconds, parent=preprocess)
         cancel.check("preprocess")
 
         # --- modeling phase -------------------------------------------

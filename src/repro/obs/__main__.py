@@ -8,7 +8,10 @@ Usage::
 Exit status 0 means the metrics snapshot registers a ``phase_seconds_*``
 histogram for every required pipeline phase and (when ``--trace`` is
 given) the JSONL event log parses line by line with every applied answer
-accounted for by an issued task.
+accounted for by an issued task and the preprocessing stage spans
+(``preprocess.structure``, ``preprocess.posteriors``) fitting inside
+their ``preprocess`` span.  The stages are phases too, so
+``--phases preprocess.structure preprocess.posteriors`` requires them.
 """
 
 from __future__ import annotations
@@ -255,6 +258,7 @@ def verify_trace(path: str) -> List[str]:
             "%d answered task(s) were never issued: %s"
             % (len(unaccounted), sorted(unaccounted)[:5])
         )
+    problems.extend(_preprocess_problems(events))
     for event in events:
         if event.get("event") == "run_end":
             posted = event.get("tasks_posted")
@@ -263,6 +267,34 @@ def verify_trace(path: str) -> List[str]:
                     "run_end reports %r tasks posted but %d were issued"
                     % (posted, issued_count)
                 )
+    return problems
+
+
+def _preprocess_problems(events: List[dict]) -> List[str]:
+    """Stage spans (``preprocess.structure``, ``preprocess.posteriors``)
+    must follow their ``preprocess`` span and fit inside it."""
+    problems: List[str] = []
+    # [parent seconds, sum of its children's seconds] per preprocess span
+    groups: List[List[float]] = []
+    for event in events:
+        if event.get("event") != "span":
+            continue
+        if event.get("name") == "preprocess":
+            groups.append([float(event.get("seconds", 0.0)), 0.0])
+        elif event.get("parent") == "preprocess":
+            if not groups:
+                problems.append(
+                    "span %r precedes its preprocess span" % event.get("name")
+                )
+                continue
+            groups[-1][1] += float(event.get("seconds", 0.0))
+    for parent, children in groups:
+        # Offsets are rounded separately; allow for float noise only.
+        if children > parent + 1e-9:
+            problems.append(
+                "preprocess stage spans sum to %.6f s, more than the "
+                "preprocess span's %.6f s" % (children, parent)
+            )
     return problems
 
 

@@ -78,6 +78,8 @@ class Tracer:
         self._stack: List[Span] = []
         #: completed spans, in completion order
         self.spans: List[Span] = []
+        #: end of the last child recorded under a parent span, by id
+        self._child_end: Dict[int, float] = {}
 
     def _now(self) -> float:
         return time.perf_counter() - self._epoch
@@ -102,23 +104,41 @@ class Tracer:
             self._finish(record)
 
     def record(
-        self, name: str, seconds: float, phase: Optional[str] = None, **attrs
+        self,
+        name: str,
+        seconds: float,
+        phase: Optional[str] = None,
+        parent: Optional[Span] = None,
+        **attrs,
     ) -> Span:
         """Register an externally timed span (work measured elsewhere).
 
         The span nests under the currently active span; its end is "now"
         and its start back-dated by ``seconds``, so ordering stays sane.
+        With ``parent`` (a span recorded earlier) it nests under that
+        span instead: the children of one parent are laid out back to
+        back from the parent's start, in the order they are recorded.
         """
-        end = self._now()
-        # The start may predate the tracer's epoch (negative offset) when
-        # the measured work happened before tracing began.
+        if parent is None:
+            end = self._now()
+            # The start may predate the tracer's epoch (negative offset)
+            # when the measured work happened before tracing began.
+            start = end - max(0.0, seconds)
+            parent_name = self._stack[-1].name if self._stack else None
+            depth = len(self._stack)
+        else:
+            start = self._child_end.get(id(parent), parent.start)
+            end = start + max(0.0, seconds)
+            self._child_end[id(parent)] = end
+            parent_name = parent.name
+            depth = parent.depth + 1
         record = Span(
             name=name,
             phase=phase or name,
-            start=end - max(0.0, seconds),
+            start=start,
             end=end,
-            parent=self._stack[-1].name if self._stack else None,
-            depth=len(self._stack),
+            parent=parent_name,
+            depth=depth,
             attrs=dict(attrs),
         )
         self._finish(record)

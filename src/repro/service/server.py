@@ -7,10 +7,12 @@ Lifecycle of one ``repro serve`` process::
           --> serve keep-alive connections (bounded; excess get 503)
     SIGTERM/SIGINT
           --> stop admitting (readyz -> 503, new work -> 503)
+          --> close idle keep-alive connections
           --> cooperatively cancel running sessions
           --> wait <= drain_timeout_s for them to park resumable
           --> exit 0 (all parked) / 1 (drain timeout; journal + store
-              still guarantee a resumable restart -- that is the point)
+              still guarantee a resumable restart -- that is the point),
+              ending any connection still open (an events follower)
 
 A second signal during drain force-exits immediately; durability never
 depends on the drain finishing because every mutation hit the journal
@@ -23,7 +25,7 @@ import argparse
 import asyncio
 import signal
 import sys
-from typing import Optional
+from typing import Optional, Set
 
 from ..errors import ConfigError
 from .app import ServiceApp
@@ -50,6 +52,12 @@ class QueryServer:
         self._stop_reason = "stopped"
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.bound_port: Optional[int] = None
+        #: live connection handler tasks, and the subset waiting for the
+        #: next request (idle keep-alive connections)
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.Task] = set()
+        #: set once a stop begins: no connection waits for another request
+        self._closing = False
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -107,10 +115,13 @@ class QueryServer:
             flush=True,
         )
         self._server.close()
-        await self._server.wait_closed()
+        await self._close_connections(idle_only=True)
         parked = await loop.run_in_executor(
             None, self.app.drain, None, self._stop_reason
         )
+        # Whatever still streams (an events follower) ends with the server.
+        await self._close_connections(idle_only=False)
+        await self._server.wait_closed()
         if parked:
             print("repro-service drained cleanly; sessions are resumable", flush=True)
             return 0
@@ -120,6 +131,19 @@ class QueryServer:
             flush=True,
         )
         return 1
+
+    async def _close_connections(self, idle_only: bool) -> None:
+        """Stop connection handlers (only idle ones with ``idle_only``).
+
+        A cancelled handler ends as a clean close (see
+        :meth:`_handle_connection`), so shutdown logs no tracebacks.
+        """
+        self._closing = True
+        tasks = list(self._idle if idle_only else self._connections)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     # ------------------------------------------------------------------
     async def _handle_connection(
@@ -145,18 +169,28 @@ class QueryServer:
             self._close(writer)
             return
         app.connections += 1
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             await self._serve_requests(reader, writer)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # half-dead peer; nothing to salvage
+        except asyncio.CancelledError:
+            # Cancelled by _close_connections: a clean close.  Swallowing
+            # it keeps 3.11's stream callback from logging a traceback.
+            if not self._closing:
+                raise
         finally:
+            self._connections.discard(task)
             app.connections -= 1
             self._close(writer)
 
     async def _serve_requests(self, reader, writer) -> None:
         settings = self.settings
         app = self.app
-        while True:
+        task = asyncio.current_task()
+        while not self._closing:
+            self._idle.add(task)
             try:
                 request = await read_request(
                     reader,
@@ -172,6 +206,8 @@ class QueryServer:
                 ).inc()
                 await write_response(writer, error_response(err), keep_alive=False)
                 return
+            finally:
+                self._idle.discard(task)
             if request is None:
                 return  # clean close between keep-alive requests
             app.metrics.counter("service_requests", "requests received").inc()
@@ -193,7 +229,9 @@ class QueryServer:
             if request.method == "HEAD":
                 response.stream = None
                 response.body = b""
-            keep_alive = request.wants_keep_alive and not app.draining
+            keep_alive = (
+                request.wants_keep_alive and not app.draining and not self._closing
+            )
             ok, reusable = await write_response(writer, response, keep_alive)
             if not ok or not reusable:
                 return

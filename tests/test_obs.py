@@ -7,7 +7,7 @@ import pytest
 
 from repro import BayesCrowd, BayesCrowdConfig
 from repro.cli import main as cli_main
-from repro.datasets import example_distributions, sample_dataset
+from repro.datasets import example_distributions, generate_synthetic, sample_dataset
 from repro.obs import (
     DEFAULT_BUCKETS,
     PIPELINE_PHASES,
@@ -18,7 +18,7 @@ from repro.obs import (
     read_events,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.__main__ import verify_selection
+from repro.obs.__main__ import verify_selection, verify_trace
 
 
 def movie_query(**kwargs):
@@ -140,6 +140,18 @@ class TestTracer:
         assert tracer.registry.get("phase_seconds_preprocess").count == 1
         assert tracer.find("preprocess") == [span]
 
+    def test_record_under_parent_lays_children_back_to_back(self):
+        tracer = Tracer()
+        parent = tracer.record("preprocess", 3.0)
+        first = tracer.record("preprocess.structure", 1.0, parent=parent)
+        second = tracer.record("preprocess.posteriors", 0.5, parent=parent)
+        assert first.parent == second.parent == "preprocess"
+        assert first.depth == second.depth == parent.depth + 1
+        assert first.start == parent.start
+        assert second.start == first.end
+        assert second.end <= parent.end
+        assert tracer.registry.get("phase_seconds_preprocess.posteriors").count == 1
+
     def test_spans_emit_events(self):
         events = EventLog()
         tracer = Tracer(event_log=events)
@@ -236,6 +248,47 @@ class TestTracedRun:
         movie_query(metrics_path=metrics_path).run()
         text = metrics_path.read_text()
         assert "# TYPE phase_seconds_round histogram" in text
+
+
+class TestPreprocessAttribution:
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("preprocess")
+        trace_path = out / "trace.jsonl"
+        metrics_path = out / "metrics.json"
+        dataset = generate_synthetic(n_objects=150, missing_rate=0.1, seed=5)
+        config = BayesCrowdConfig(
+            budget=4, latency=2, trace_path=trace_path, metrics_path=metrics_path
+        )
+        result = BayesCrowd(dataset, config).run()
+        return result, trace_path, metrics_path
+
+    def test_stage_spans_fit_inside_preprocess(self, traced):
+        result, __, ___ = traced
+        spans = {span["name"]: span for span in result.trace}
+        parent = spans["preprocess"]
+        stages = [spans["preprocess.structure"], spans["preprocess.posteriors"]]
+        assert all(stage["parent"] == "preprocess" for stage in stages)
+        assert all(stage["seconds"] > 0.0 for stage in stages)
+        assert sum(stage["seconds"] for stage in stages) <= parent["seconds"]
+
+    def test_verifier_accepts_stage_spans_and_phases(self, traced, capsys):
+        __, trace_path, metrics_path = traced
+        phases = ["preprocess", "preprocess.structure", "preprocess.posteriors"]
+        argv = [str(metrics_path), "--trace", str(trace_path), "--phases", *phases]
+        assert obs_main(argv) == 0
+        assert "trace ok" in capsys.readouterr().out
+
+    def test_verifier_rejects_stages_longer_than_preprocess(self, traced, tmp_path):
+        __, trace_path, ___ = traced
+        events = read_events(trace_path)
+        for event in events:
+            if event.get("name") == "preprocess.posteriors":
+                event["seconds"] = 1e6
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(event) + "\n" for event in events))
+        problems = verify_trace(str(bad))
+        assert any("preprocess stage spans" in problem for problem in problems)
 
 
 def selection_snapshot(candidates=10, evals=6, hits=3, skipped=1, ratio=0.4):

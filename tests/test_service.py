@@ -12,6 +12,7 @@ restart recovery.
 import asyncio
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -687,3 +688,45 @@ class TestDrainAndRecovery:
         finally:
             handle.stop()
         assert ServiceStore(data_dir).recoverable_sessions() == []
+
+    def test_stop_with_idle_and_streaming_clients_is_clean(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG)
+        handle = ServerHandle(_settings(tmp_path))
+        clients = []
+        try:
+            _make_dataset(handle, "d1", n=300, seed=11)
+            status, _, _, _ = handle.request(
+                "POST",
+                "/v1/sessions",
+                {"dataset_id": "d1", "session_id": "s1",
+                 "config": {"budget": 120, "latency": 40, "seed": 11}},
+            )
+            assert status == 202
+            # An idle keep-alive connection after one answered request...
+            idle = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+            clients.append(idle)
+            idle.request("GET", "/healthz")
+            response = idle.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            # ...and a client still following the session's events.
+            follower = socket.create_connection(("127.0.0.1", handle.port))
+            clients.append(follower)
+            follower.settimeout(10)
+            follower.sendall(
+                b"GET /v1/sessions/s1/events?follow=1 HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            assert follower.recv(64).startswith(b"HTTP/1.1 200")
+            assert handle.stop("SIGTERM") == 0
+            assert idle.sock.recv(4096) == b""  # the server closed it
+        finally:
+            for sock in clients:
+                sock.close()
+            if handle._thread.is_alive():
+                handle.stop()
+        tracebacks = [
+            record.getMessage()
+            for record in caplog.records
+            if record.exc_info is not None or record.levelno >= logging.ERROR
+        ]
+        assert tracebacks == []
