@@ -8,10 +8,10 @@ the gap widening with the missing rate; ``batch`` (the engine's
 ``probability_many`` with bulk leaf warming) at or below plain ADPLL.
 
 Standalone mode times the batch engine sequentially, with a worker
-pool, and under the circuit backends (``compiled`` per-condition
-circuits, ``compiled_forest`` store-scoped sharing with the scalar
-sweep, ``compiled_kernel`` sharing plus the numpy array kernel), plus
-per-round re-weighting for all four engines, and emits
+pool, and on the circuit forest (``compiled_kernel``: store-scoped
+sharing plus the numpy array kernel), plus per-round re-weighting for
+ADPLL and the forest -- the forest's rounds timed against its own scalar
+interpreter sweep on the same rounds -- and emits
 ``BENCH_fig03_probability.json`` in pytest-benchmark shape (render with
 ``python -m repro.benchreport``)::
 
@@ -114,11 +114,8 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         ("sequential", dict(n_jobs=1), False),
         ("batch", dict(n_jobs=1), True),
         ("batch_pool", dict(n_jobs=n_jobs), True),
-        ("compiled", dict(n_jobs=1, backend="compiled"), True),
-        # forest sharing alone (interpreter-exact scalar sweep) ...
-        ("compiled_forest", dict(n_jobs=1, backend="forest", kernel="python"), True),
-        # ... and sharing + the numpy structure-of-arrays kernel
-        ("compiled_kernel", dict(n_jobs=1, backend="forest", kernel="numpy"), True),
+        # the circuit forest: sharing + the numpy structure-of-arrays kernel
+        ("compiled_kernel", dict(n_jobs=1, backend="forest"), True),
     ]
     baseline_values = None
     for name, engine_kwargs, batched in variants:
@@ -161,15 +158,13 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
         }
         if name != "sequential":
             extra["parity_max_drift"] = drift
-        if engine_kwargs.get("backend") in ("compiled", "forest"):
+        if engine_kwargs.get("backend") == "forest":
             extra["circuits_compiled"] = stats["circuits_compiled"]
             extra["circuit_nodes"] = stats["circuit_nodes"]
             extra["compile_fallbacks"] = stats["compile_fallbacks"]
-        if engine_kwargs.get("backend") == "forest":
             extra["forest_nodes"] = stats["forest_nodes"]
             extra["nodes_shared"] = stats["nodes_shared"]
             extra["shared_fraction"] = round(stats["shared_fraction"], 4)
-            extra["forest_kernel"] = stats["forest_kernel"]
         rows.append(
             {
                 "name": "probability[%s,n=%d,%s]" % (kind, n, name),
@@ -199,13 +194,13 @@ def run_standalone(kind, n, missing_rate, alpha, n_jobs, out_path):
 
 
 def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
-    """Compiled backend under a starved node budget: the fallback ladder.
+    """The forest under a starved node budget: the fallback ladder.
 
     Every non-trivial condition trips the compile budget, the compile
     breaker opens, and ADPLL answers instead -- values must stay exact.
     """
     engine = ProbabilityEngine(
-        store.snapshot(), backend="compiled", compile_node_budget=8
+        store.snapshot(), backend="forest", compile_node_budget=8
     )
     with tracer.span("probability[compiled_fallback]", phase="probability") as span:
         values = engine.probability_many(conditions)
@@ -245,11 +240,8 @@ def _fallback_row(kind, n, conditions, store, baseline_values, tracer):
 #: Per-round engines: independent stores, identical answer sequences.
 ROUND_ENGINES = (
     ("adpll", {}),
-    ("compiled", dict(backend="compiled")),
-    # forest sharing with the interpreter-exact scalar sweep ...
-    ("forest", dict(backend="forest", kernel="python")),
-    # ... and with the numpy array kernel (the PR-9 headline variant)
-    ("kernel", dict(backend="forest", kernel="numpy")),
+    # the circuit forest with the numpy array kernel
+    ("kernel", dict(backend="forest")),
 )
 
 
@@ -259,8 +251,11 @@ def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
     Independent constraint sets receive the same deterministic answer
     sequence (``Var > 0`` facts applied straight to the constraints, so
     conditions never simplify -- a pure weight-change workload).  Each
-    round every engine recomputes every condition; the circuit backends
-    must re-propagate leaf weights without a single recompilation.
+    round every engine recomputes every condition; the forest must
+    re-propagate leaf weights without a single recompilation.  After
+    the kernel's round, the forest's scalar interpreter re-sweeps the
+    same suffix (:meth:`CircuitForest.interpret`): its values must agree
+    and its time is the ``speedup_vs_interpreter`` denominator.
     """
     setups = {}
     reference_conditions = None
@@ -281,6 +276,9 @@ def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
     answered = sorted({v for c in reference_conditions for v in c.variables()})
     per_round = max(1, min(32, len(answered) // rounds))
     seconds = {name: 0.0 for name, __ in ROUND_ENGINES}
+    interpreter_seconds = 0.0
+    forest_engine, __, ___ = setups["kernel"]
+    forest = forest_engine._forest
     played = 0
     for r in range(rounds):
         batch = answered[r * per_round : (r + 1) * per_round]
@@ -292,11 +290,17 @@ def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
                 store.constraints.apply_answer(answer, Relation.GREATER)
         played += len(batch)
         round_values = {}
+        cutoff = forest.stale_cutoff()
         for name, (engine, __, conditions) in setups.items():
             with tracer.span("round[%s,%d]" % (name, r), phase="probability") as span:
                 round_values[name] = engine.probability_many(conditions)
             seconds[name] += span.seconds
-        for name in seconds:
+        with tracer.span("round[interpreter,%d]" % r, phase="probability") as span:
+            round_values["interpreter"] = forest.interpret(
+                reference_conditions, cutoff
+            )
+        interpreter_seconds += span.seconds
+        for name in round_values:
             if name == "adpll":
                 continue
             drift = max(
@@ -337,14 +341,14 @@ def run_rounds(kind, n, missing_rate, alpha, tracer, registry, rounds=5):
             )
         else:
             extra["recompiles"] = 0
-        if name in ("forest", "kernel"):
+        if name == "kernel":
             extra.update(
                 shared_fraction=round(stats["shared_fraction"], 4),
                 forest_nodes=stats["forest_nodes"],
                 nodes_shared=stats["nodes_shared"],
-                forest_kernel=stats["forest_kernel"],
-                speedup_vs_compiled=round(
-                    seconds["compiled"] / elapsed if elapsed else 0.0, 2
+                interpreter_seconds=round(interpreter_seconds, 4),
+                speedup_vs_interpreter=round(
+                    interpreter_seconds / elapsed if elapsed else 0.0, 2
                 ),
             )
         rows.append(

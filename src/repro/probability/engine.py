@@ -38,13 +38,12 @@ from ..parallel import (
 )
 from .adpll import ADPLL
 from .approxcount import adaptive_approx_probability, approx_probability
-from .compile import (
+from .distributions import DistributionStore
+from .forest import (
     DEFAULT_CIRCUIT_CACHE_SIZE,
     DEFAULT_COMPILE_NODE_BUDGET,
-    CircuitStore,
+    CircuitForest,
 )
-from .distributions import DistributionStore
-from .forest import CircuitForest
 from .guard import CircuitBreaker, GuardedProbability
 from .kernel import ForestProgram
 from .naive import naive_probability
@@ -53,13 +52,11 @@ from .naive import naive_probability
 METHODS = ("adpll", "naive", "approx")
 
 #: Exact-probability backends for ``method="adpll"``: ``adpll`` re-solves
-#: each condition per call, ``compiled`` compiles each condition once
-#: into a d-DNNF circuit and re-propagates weights as answers land
-#: (see :mod:`repro.probability.compile`), ``forest`` shares subcircuits
-#: across all conditions in one store-scoped DAG and sweeps every
-#: registered circuit at once with the array kernel
+#: each condition per call, ``forest`` compiles each condition once into
+#: a d-DNNF circuit of one store-scoped shared DAG and re-weights every
+#: registered circuit at once with the array kernel as answers land
 #: (:mod:`repro.probability.forest` / :mod:`repro.probability.kernel`).
-PROBABILITY_BACKENDS = ("adpll", "compiled", "forest")
+PROBABILITY_BACKENDS = ("adpll", "forest")
 
 #: Default bound on the condition-probability cache.
 DEFAULT_CACHE_SIZE = 65_536
@@ -107,22 +104,10 @@ def _compute_chunk(payload) -> List[float]:
     :class:`SharedArrayHandle` to the published snapshot plus the
     conditions themselves -- the pmf data never rides in the pickle.
     """
-    handle, method, backend, compile_budget, conditions, approx_samples, seed = payload
+    handle, method, conditions, approx_samples, seed = payload
     store = _worker_store(handle)
     if method == "adpll":
         solver = ADPLL(store)
-        if backend == "compiled":
-            # Per-chunk circuit store against the frozen snapshot; budget
-            # trips degrade to ADPLL in-worker (counters stay process-local
-            # -- the parent's compile accounting covers sequential batches).
-            circuits = CircuitStore(store, node_budget=compile_budget)
-            out = []
-            for condition in conditions:
-                try:
-                    out.append(circuits.probability(condition))
-                except ResourceBudgetError:
-                    out.append(solver.probability(condition))
-            return out
         return [solver.probability(condition) for condition in conditions]
     if method == "naive":
         return [naive_probability(condition, store) for condition in conditions]
@@ -182,7 +167,6 @@ class ProbabilityEngine:
         backend: str = "adpll",
         compile_node_budget: int = DEFAULT_COMPILE_NODE_BUDGET,
         circuit_cache_size: int = DEFAULT_CIRCUIT_CACHE_SIZE,
-        kernel: str = "auto",
     ) -> None:
         if method not in METHODS:
             raise ValueError("unknown method %r; expected one of %r" % (method, METHODS))
@@ -191,7 +175,7 @@ class ProbabilityEngine:
                 "unknown backend %r; expected one of %r"
                 % (backend, PROBABILITY_BACKENDS)
             )
-        if backend in ("compiled", "forest") and method != "adpll":
+        if backend == "forest" and method != "adpll":
             raise ValueError(
                 "the %s backend replaces the exact ADPLL path; "
                 "it requires method='adpll' (got %r)" % (backend, method)
@@ -219,29 +203,18 @@ class ProbabilityEngine:
         #: condition -> (exact?, error bound) for guarded computations
         self._guard_info: Dict[Condition, Tuple[bool, float]] = {}
         self.n_guard_fallbacks = 0
-        #: compiled backend: circuit cache + its own breaker over the
+        #: forest backend: circuit forest + its own breaker over the
         #: compile path (compilation blowups degrade to ADPLL, which may
-        #: itself be guarded -- the full ladder is compiled -> ADPLL ->
+        #: itself be guarded -- the full ladder is forest -> ADPLL ->
         #: sampler)
         self.backend = backend
-        self._compile_node_budget = int(compile_node_budget)
-        self._circuit_cache_size = int(circuit_cache_size)
-        self._circuits: Optional[CircuitStore] = None
         self._forest: Optional[CircuitForest] = None
         self.compile_breaker: Optional[CircuitBreaker] = None
         self.n_compile_fallbacks = 0
         self.forest_bundle_bytes = 0
-        if backend == "compiled":
-            self._circuits = CircuitStore(
-                store, node_budget=compile_node_budget, cache_size=circuit_cache_size
-            )
-            self.compile_breaker = CircuitBreaker(failure_threshold=breaker_threshold)
-        elif backend == "forest":
+        if backend == "forest":
             self._forest = CircuitForest(
-                store,
-                node_budget=compile_node_budget,
-                capacity=circuit_cache_size,
-                kernel=kernel,
+                store, node_budget=compile_node_budget, capacity=circuit_cache_size
             )
             self.compile_breaker = CircuitBreaker(failure_threshold=breaker_threshold)
         #: default worker count for :meth:`probability_many`
@@ -297,7 +270,7 @@ class ProbabilityEngine:
         """``Pr(condition)`` under the current distributions.
 
         ``obj`` optionally names the object the condition belongs to; the
-        compiled backend uses it to distinguish "same object, condition
+        forest backend uses it to distinguish "same object, condition
         simplified by an answer" recompiles from first-time compiles.
         """
         if condition.is_true:
@@ -340,7 +313,7 @@ class ProbabilityEngine:
         version = self.store.version
         results: Dict[Condition, float] = {}
         pending: List[Condition] = []
-        #: owning object per distinct condition (compiled-backend recompile
+        #: owning object per distinct condition (forest recompile
         #: attribution; first owner wins on shared conditions)
         condition_objects: Dict[Condition, int] = {}
         if objects is not None:
@@ -536,9 +509,7 @@ class ProbabilityEngine:
                 values[items[i][0]] = value
         return values
 
-    def precompile_many(
-        self, conditions: Sequence[Condition], objects: Optional[Sequence[int]] = None
-    ) -> int:
+    def precompile_many(self, conditions: Sequence[Condition]) -> int:
         """Batch-register conditions in the forest ahead of evaluation.
 
         The round-level compile hook (:class:`repro.core.utility_engine`
@@ -557,7 +528,7 @@ class ProbabilityEngine:
         breaker = self.compile_breaker
         count = 0
         seen = set()
-        for index, condition in enumerate(conditions):
+        for condition in conditions:
             if condition.is_constant or condition in seen:
                 continue
             seen.add(condition)
@@ -565,9 +536,8 @@ class ProbabilityEngine:
                 self._cancellation.check("precompile")
             if not breaker.allow_exact():
                 break
-            obj = objects[index] if objects is not None else None
             try:
-                forest.register(condition, obj=obj)
+                forest.register(condition)
             except ResourceBudgetError:
                 continue
             count += 1
@@ -617,8 +587,6 @@ class ProbabilityEngine:
                 (
                     bundle.handle,
                     self.method,
-                    self.backend,
-                    self._compile_node_budget,
                     [pending[i] for i in chunk],
                     self._approx_samples,
                     int(seed),
@@ -642,7 +610,7 @@ class ProbabilityEngine:
 
     def _compute(self, condition: Condition, obj: Optional[int] = None) -> float:
         if self.method == "adpll":
-            if self._circuits is not None or self._forest is not None:
+            if self._forest is not None:
                 return self._compute_compiled(condition, obj)
             if self.breaker is None:
                 return self._adpll.probability(condition)
@@ -654,21 +622,20 @@ class ProbabilityEngine:
         ).probability
 
     def _compute_compiled(self, condition: Condition, obj: Optional[int]) -> float:
-        """Exact probability via the compiled circuit, with a fallback ladder.
+        """Exact probability via the forest's circuit, with a fallback ladder.
 
         While compilation fits the node budget, the value is the circuit
-        evaluation (exact; bit-compatible with ADPLL up to float
-        associativity).  A budget trip counts a ``compile_fallback`` and
-        degrades this condition to the ADPLL path -- guarded, when the
-        resource guard is configured, so the full ladder is compiled ->
-        ADPLL -> adaptive sampler.  The compile breaker turns repeated
-        trips into skip-straight-to-ADPLL.
+        evaluation (exact; equal to ADPLL up to float associativity).  A
+        budget trip counts a ``compile_fallback`` and degrades this
+        condition to the ADPLL path -- guarded, when the resource guard
+        is configured, so the full ladder is forest -> ADPLL -> adaptive
+        sampler.  The compile breaker turns repeated trips into
+        skip-straight-to-ADPLL.
         """
-        circuits = self._circuits if self._circuits is not None else self._forest
         breaker = self.compile_breaker
         if breaker.allow_exact():
             try:
-                value = circuits.probability(condition, obj=obj)
+                value = self._forest.probability(condition, obj=obj)
             except ResourceBudgetError:
                 breaker.record_failure()
                 self.n_compile_fallbacks += 1
@@ -770,16 +737,13 @@ class ProbabilityEngine:
         if self.breaker is not None:
             for key, value in self.breaker.stats().items():
                 stats[key] = value
-        # Circuit accounting (compiled or forest backend); zeros with a
-        # stable schema -- including the forest keys -- when a backend is
-        # off, so the obs verifier always finds them.
+        # Circuit accounting of the forest backend; zeros with a stable
+        # schema when it is off, so the obs verifier always finds them.
         stats["probability_backend"] = self.backend
-        circuit_stats = dict(CircuitForest.empty_stats())
-        if self._circuits is not None:
-            circuit_stats.update(self._circuits.stats())
-        elif self._forest is not None:
-            circuit_stats.update(self._forest.stats())
-        stats.update(circuit_stats)
+        if self._forest is not None:
+            stats.update(self._forest.stats())
+        else:
+            stats.update(CircuitForest.empty_stats())
         stats["forest_bundle_bytes"] = self.forest_bundle_bytes
         stats["compile_fallbacks"] = self.n_compile_fallbacks
         if self.compile_breaker is not None:

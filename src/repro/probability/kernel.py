@@ -1,6 +1,6 @@
 """Array kernel for the circuit forest: one sweep evaluates every circuit.
 
-The PR-8 interpreter walks each circuit's DAG node-by-node in Python --
+A scalar interpreter walks a circuit's DAG node-by-node in Python --
 fine for one circuit, but the forest (:mod:`repro.probability.forest`)
 holds the union of *all* registered circuits as one shared DAG, and a
 round needs all of their values at once.  This module lowers the live
@@ -25,112 +25,38 @@ everything created or dirtied after sequence s" -- are a
 roots, which is what pool workers run after attaching the program's flat
 arrays from shared memory (:meth:`to_arrays` / :meth:`from_arrays`).
 
-An optional numba JIT of the forward pass hides behind
-``REPRO_FOREST_JIT=1`` (kernel mode ``auto``); numpy is the
-always-available fallback and the only mode exercised in CI, where
-numba is not installed.
+The scalar interpreter survives as :meth:`ForestProgram.sweep_python`:
+the interpreter-exact reference the numpy sweep is tested and
+benchmarked against, never a production path.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compile import NODE_LEAF_PAIR, NODE_LEAF_SET, NODE_PROD, NODE_SUM, NODE_TRUE
-
 __all__ = [
-    "HAS_NUMBA",
-    "KERNEL_MODES",
+    "NODE_FALSE",
+    "NODE_LEAF_PAIR",
+    "NODE_LEAF_SET",
+    "NODE_PROD",
+    "NODE_SUM",
+    "NODE_TRUE",
     "ForestProgram",
-    "resolve_kernel",
-    "validate_jit_gate",
 ]
 
-#: Kernel mode knob: ``auto`` picks numba when installed *and* opted in
-#: via ``REPRO_FOREST_JIT=1``, else numpy; ``python`` is the scalar
-#: interpreter sweep (used to benchmark forest sharing in isolation).
-KERNEL_MODES = ("auto", "numpy", "numba", "python")
-
-#: True when the numba package is importable (never a hard dependency).
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
-
-_JIT_ENV = "REPRO_FOREST_JIT"
-
-
-def validate_jit_gate() -> None:
-    """Fail fast when ``REPRO_FOREST_JIT`` opts in but numba is absent.
-
-    Called at *config* time (``BayesCrowdConfig`` validation for the
-    forest backend, and service settings validation) so a host that opted
-    into the JIT without having numba installed gets one clear
-    :class:`~repro.errors.ConfigError` up front instead of a confusing
-    per-worker crash (or a silent numpy fallback the operator believes is
-    jitted).  ``resolve_kernel('auto')`` itself keeps the numpy fallback:
-    a worker must never crash even if the environment mutates after
-    configuration.
-    """
-    if os.environ.get(_JIT_ENV, "0") in ("", "0"):
-        return
-    if not HAS_NUMBA:
-        from ..errors import ConfigError
-
-        raise ConfigError(
-            "%s=1 requests the numba JIT kernel but numba is not "
-            "installed; unset %s (the numpy kernel is the default and "
-            "needs no extra packages) or install numba"
-            % (_JIT_ENV, _JIT_ENV)
-        )
-
-
-def resolve_kernel(mode: str) -> str:
-    """Normalize a kernel mode knob to a concrete, runnable mode."""
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            "unknown kernel mode %r; expected one of %r" % (mode, KERNEL_MODES)
-        )
-    if mode == "auto":
-        if HAS_NUMBA and os.environ.get(_JIT_ENV, "0") not in ("", "0"):
-            return "numba"
-        return "numpy"
-    if mode == "numba" and not HAS_NUMBA:
-        raise ValueError(
-            "kernel mode 'numba' requested but numba is not installed; "
-            "use 'numpy' (or 'auto', which falls back automatically)"
-        )
-    return mode
-
-
-_NUMBA_SWEEP = None
-
-
-def _numba_sweep():
-    """Compile (once per process) the jitted per-node forward pass."""
-    global _NUMBA_SWEEP
-    if _NUMBA_SWEEP is None:  # pragma: no cover - numba not in CI image
-        import numba
-
-        @numba.njit(cache=False)
-        def sweep(kinds, slots, child_ptr, child, values, start):
-            for i in range(start, len(slots)):
-                kind = kinds[i]
-                if kind == NODE_PROD:
-                    v = 1.0
-                    for j in range(child_ptr[i], child_ptr[i + 1]):
-                        v *= values[child[j]]
-                        if v == 0.0:
-                            break
-                    values[slots[i]] = v
-                elif kind == NODE_SUM:
-                    v = 0.0
-                    for j in range(child_ptr[i], child_ptr[i + 1]):
-                        v += values[child[j]]
-                    values[slots[i]] = v
-
-        _NUMBA_SWEEP = sweep
-    return _NUMBA_SWEEP
+# Node kinds shared by the forest and this kernel.  TRUE/FALSE are
+# constants, LEAF_SET is "variable in value set" (values None = the
+# full-domain smoothing literal), LEAF_PAIR is a var-vs-var theory atom
+# (possibly negated), SUM/PROD are the internal deterministic-or /
+# decomposable-and gates.
+NODE_TRUE = 0
+NODE_FALSE = 1
+NODE_LEAF_SET = 2
+NODE_LEAF_PAIR = 3
+NODE_SUM = 4
+NODE_PROD = 5
 
 
 def _span_gather(ptr: np.ndarray, sel: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -213,14 +139,14 @@ class ForestProgram:
         self.pair_neg = np.empty(0, dtype=np.uint8)
         #: internal levels (index 0 = level 1): [(sum_block, prod_block)]
         self.levels: List[Tuple[_Block, _Block]] = []
-        # host-only whole-order arrays for the scalar (python/numba)
-        # sweeps; not shipped to workers
+        # host-only whole-order arrays for the scalar reference sweep;
+        # not shipped to workers
         self.order_slots = np.empty(0, dtype=np.int64)
         self.order_kinds = np.empty(0, dtype=np.int8)
         self.order_seqs = np.empty(0, dtype=np.int64)
         self.order_child_ptr = np.zeros(1, dtype=np.int64)
         self.order_child = np.empty(0, dtype=np.int64)
-        #: host-only leaf payload rows for the python (store-backed) leaf
+        #: host-only leaf payload rows for the scalar (store-backed) leaf
         #: pass: (seq, slot, variable, local value indices) / pair rows
         self.host_set_leaves: List[Tuple[int, int, Tuple[int, int], np.ndarray]] = []
         self.host_pair_leaves: List[Tuple[int, int, object, bool]] = []
@@ -336,7 +262,7 @@ class ForestProgram:
             for lev in range(1, self.n_levels + 1)
         ]
 
-        # whole-order arrays for the scalar sweeps
+        # whole-order arrays for the scalar reference sweep
         self.order_slots = np.array(order, dtype=np.int64)
         self.order_kinds = np.array([kinds[slot] for slot in order], dtype=np.int8)
         self.order_seqs = np.array([seqs[slot] for slot in order], dtype=np.int64)
@@ -478,9 +404,9 @@ class ForestProgram:
     def sweep_python(self, values: np.ndarray, min_seq: Optional[int] = None) -> None:
         """Scalar interpreter sweep over the whole-order arrays.
 
-        Bit-identical arithmetic to :meth:`CompiledCircuit.evaluate`
-        (sequential multiply with zero short-circuit, sequential add);
-        leaves must already be written.
+        The interpreter-exact reference for the numpy levels: sequential
+        multiply with zero short-circuit, sequential add, node by node in
+        topological order; leaves must already be written.
         """
         start = (
             int(np.searchsorted(self.order_seqs, min_seq)) if min_seq is not None else 0
@@ -510,7 +436,6 @@ class ForestProgram:
         pmf_flat: np.ndarray,
         min_seq: Optional[int] = None,
         mask: Optional[np.ndarray] = None,
-        mode: str = "numpy",
     ) -> np.ndarray:
         """Forward pass: leaves from ``pmf_flat``, then internal levels.
 
@@ -520,22 +445,7 @@ class ForestProgram:
         this is ``evaluate_many`` over every registered circuit at once.
         """
         self._leaf_pass(values, pmf_flat, min_seq, mask)
-        if mode == "numba" and mask is None:  # pragma: no cover - optional JIT
-            start = (
-                int(np.searchsorted(self.order_seqs, min_seq))
-                if min_seq is not None
-                else 0
-            )
-            _numba_sweep()(
-                self.order_kinds,
-                self.order_slots,
-                self.order_child_ptr,
-                self.order_child,
-                values,
-                start,
-            )
-        else:
-            self._sweep_numpy(values, min_seq, mask)
+        self._sweep_numpy(values, min_seq, mask)
         return values
 
     def reach_mask(self, roots: Sequence[int]) -> np.ndarray:
@@ -573,7 +483,7 @@ class ForestProgram:
         """Flatten to named arrays for :class:`SharedArrayBundle`.
 
         Ships only what the numpy masked sweep needs; the host-only
-        order/payload mirrors (python + numba modes) stay behind.
+        order/payload mirrors of the scalar reference sweep stay behind.
         """
         sum_level_ptr = np.zeros(self.n_levels + 1, dtype=np.int64)
         prod_level_ptr = np.zeros(self.n_levels + 1, dtype=np.int64)

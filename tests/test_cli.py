@@ -20,6 +20,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--strategy", "magic"])
 
+    def test_rejects_removed_compiled_backend(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--probability-backend", "compiled"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'compiled'" in err
+        assert "'adpll'" in err and "'forest'" in err
+
 
 class TestMain:
     def test_movies_run(self, capsys):

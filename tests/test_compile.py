@@ -1,11 +1,12 @@
-"""Tests for the compiled d-DNNF probability backend.
+"""Tests for knowledge compilation into the circuit forest.
 
 Covers the compiler itself (parity with ADPLL and naive enumeration,
 circuit structure invariants, node-budget enforcement), incremental
-re-weighting through ``CircuitStore`` (propagate-not-recompile under
-answer sequences, recompile attribution), and the engine integration
-(``backend="compiled"`` ladder through the compile breaker down to
-ADPLL/sampling, counters, config/CLI knobs, obs verification).
+re-weighting through :class:`CircuitForest` (propagate-not-recompile
+under answer sequences, recompile attribution, sharing and eviction),
+and the engine integration (the ``forest`` backend's ladder through the
+compile breaker down to ADPLL/sampling, counters, config knobs, obs
+verification).
 """
 
 import numpy as np
@@ -25,17 +26,15 @@ from repro.ctable import (
     var_greater_var,
 )
 from repro.datasets import generate_nba
-from repro.errors import ResourceBudgetError
+from repro.errors import ConfigError, ResourceBudgetError
 from repro.obs.__main__ import verify_probability
 from repro.probability import (
     ADPLL,
     DEFAULT_CIRCUIT_CACHE_SIZE,
     DEFAULT_COMPILE_NODE_BUDGET,
     CircuitForest,
-    CircuitStore,
     DistributionStore,
     ProbabilityEngine,
-    compile_condition,
     naive_probability,
 )
 
@@ -58,6 +57,12 @@ def branching_condition():
     )
 
 
+def compile_one(condition, store, **kwargs):
+    """A fresh forest holding just ``condition``; returns (forest, root)."""
+    forest = CircuitForest(store, **kwargs)
+    return forest, forest.register(condition)
+
+
 # ----------------------------------------------------------------------
 # hypothesis strategy: condition + constrained store + answer sequence
 # ----------------------------------------------------------------------
@@ -67,7 +72,7 @@ def condition_store_answers(draw):
 
     Answers are drawn as ``Var > c`` facts over the condition's own
     variables (true or false), so applying them narrows pmfs -- the
-    re-weighting workload the compiled backend exists for.
+    re-weighting workload the circuit forest exists for.
     """
     domain = draw(st.integers(2, 4))
     variables = [(o, 0) for o in range(4)]
@@ -116,8 +121,9 @@ class TestCompileParity:
             return
         exact = naive_probability(condition, store)
         assert ADPLL(store).probability(condition) == pytest.approx(exact, abs=1e-9)
-        circuit = compile_condition(condition, store)
-        assert circuit.evaluate(store) == pytest.approx(exact, abs=1e-9)
+        forest = CircuitForest(store)
+        assert forest.probability(condition) == pytest.approx(exact, abs=1e-9)
+        assert forest.interpret([condition])[0] == pytest.approx(exact, abs=1e-9)
 
     @given(condition_store_answers())
     @settings(max_examples=100, deadline=None)
@@ -126,44 +132,49 @@ class TestCompileParity:
         condition, store, constraints, answers = drawn
         if condition.is_constant:
             return
-        circuit = compile_condition(condition, store)
-        circuit.evaluate(store)
+        forest = CircuitForest(store)
+        forest.probability(condition)
         for expression, relation in answers:
             try:
                 constraints.apply_answer(expression, relation)
             except ValueError:
                 continue  # contradicting answer sequence; constraints refuse
             exact = naive_probability(condition, store)
-            assert circuit.propagate(store) == pytest.approx(exact, abs=1e-9)
+            assert forest.probability(condition) == pytest.approx(exact, abs=1e-9)
             # a fresh ADPLL sees the same weights
             assert ADPLL(store).probability(condition) == pytest.approx(
                 exact, abs=1e-9
             )
+        assert forest.stats()["circuits_compiled"] == 1
+        assert forest.stats()["recompiles"] == 0
 
     @pytest.mark.parametrize("heuristic", ["frequency", "min_domain", "first"])
     def test_all_branch_heuristics_exact(self, heuristic):
         store = uniform_store()
         condition = branching_condition()
         exact = naive_probability(condition, store)
-        circuit = compile_condition(condition, store, heuristic=heuristic)
-        assert circuit.evaluate(store) == pytest.approx(exact, abs=1e-9)
+        forest = CircuitForest(store, heuristic=heuristic)
+        assert forest.probability(condition) == pytest.approx(exact, abs=1e-9)
 
     def test_unsmoothed_circuit_same_probability(self):
         store = uniform_store()
         condition = branching_condition()
-        smoothed = compile_condition(condition, store, smooth=True)
-        plain = compile_condition(condition, store, smooth=False)
-        assert smoothed.evaluate(store) == pytest.approx(
-            plain.evaluate(store), abs=1e-12
+        smoothed = CircuitForest(store, smooth=True)
+        plain = CircuitForest(store, smooth=False)
+        assert smoothed.probability(condition) == pytest.approx(
+            plain.probability(condition), abs=1e-12
         )
-        assert len(plain) <= len(smoothed)
+        assert plain.forest_nodes <= smoothed.forest_nodes
 
 
 class TestCircuitStructure:
     def test_constants_compile_to_trivial_circuits(self):
-        store = uniform_store()
-        assert compile_condition(Condition.true(), store).evaluate(store) == 1.0
-        assert compile_condition(Condition.false(), store).evaluate(store) == 0.0
+        forest = CircuitForest(uniform_store())
+        assert forest.register(Condition.true()) == forest.TRUE
+        assert forest.register(Condition.false()) == forest.FALSE
+        assert forest.probability(Condition.true()) == 1.0
+        assert forest.probability(Condition.false()) == 0.0
+        assert forest.forest_nodes == 0
 
     def test_independent_condition_compiles_without_decisions(self):
         # disjoint variables: determinstic clause sums only, so the node
@@ -172,18 +183,18 @@ class TestCircuitStructure:
         condition = Condition.of(
             [[var_greater_const(0, 0, 1)], [var_greater_const(1, 0, 2)]]
         )
-        circuit = compile_condition(condition, store)
-        assert len(circuit) < 10
+        forest, __ = compile_one(condition, store)
+        assert forest.forest_nodes < 10
 
     def test_dedup_shares_identical_residuals(self):
         # the same residual reached along different branches must compile
         # to the same node: circuit size grows far slower than the trace
         store = uniform_store(domain=4)
         condition = branching_condition()
-        circuit = compile_condition(condition, store)
+        forest, __ = compile_one(condition, store)
         trace_nodes = ADPLL(store, use_memo=False)
         trace_nodes.probability(condition)
-        assert len(circuit) < trace_nodes.branch_count * 4
+        assert forest.forest_nodes < trace_nodes.branch_count * 4
 
     def test_decision_covers_full_base_domain(self):
         """Branching spans the base domain even when constraints narrow it.
@@ -195,104 +206,107 @@ class TestCircuitStructure:
         store = uniform_store(constraints=constraints)
         condition = branching_condition()
         constraints.apply_answer(var_greater_const(0, 0, 2), Relation.GREATER)
-        circuit = compile_condition(condition, store)
-        before = circuit.evaluate(store)
+        forest = CircuitForest(store)
+        before = forest.probability(condition)
         constraints.apply_answer(var_greater_const(1, 0, 1), Relation.GREATER)
         exact = naive_probability(condition, store)
-        assert circuit.propagate(store) == pytest.approx(exact, abs=1e-9)
-        assert before != pytest.approx(circuit.value, abs=0)
+        after = forest.probability(condition)
+        assert after == pytest.approx(exact, abs=1e-9)
+        assert before != pytest.approx(after, abs=0)
+        assert forest.stats()["circuits_compiled"] == 1
 
     def test_children_precede_parents(self):
-        store = uniform_store()
-        circuit = compile_condition(branching_condition(), store)
-        for node, kids in enumerate(circuit.children):
-            assert all(child < node for child in kids)
+        forest, __ = compile_one(branching_condition(), uniform_store())
+        for slot in forest.live_slots():
+            assert all(
+                forest.seqs[child] < forest.seqs[slot]
+                for child in forest.children[slot]
+            )
 
     def test_node_budget_trips(self):
-        store = uniform_store()
+        forest = CircuitForest(uniform_store(), node_budget=4)
         with pytest.raises(ResourceBudgetError) as err:
-            compile_condition(branching_condition(), store, node_budget=4)
+            forest.register(branching_condition())
         assert "circuit node budget" in str(err.value)
 
     def test_rejects_bad_parameters(self):
         store = uniform_store()
         with pytest.raises(ValueError):
-            compile_condition(branching_condition(), store, heuristic="magic")
+            CircuitForest(store, heuristic="magic")
         with pytest.raises(ValueError):
-            compile_condition(branching_condition(), store, node_budget=-1)
+            CircuitForest(store, node_budget=-1)
 
 
-class TestCircuitStore:
-    def make(self, domain=4):
+class TestForestReuse:
+    """Round-to-round reuse: compile once, re-weight thereafter."""
+
+    def make(self, domain=4, **kwargs):
         constraints = VariableConstraints([domain])
         store = uniform_store(domain=domain, constraints=constraints)
-        return CircuitStore(store), store, constraints
+        return CircuitForest(store, **kwargs), store, constraints
 
     def test_compile_once_then_reuse(self):
-        circuits, store, constraints = self.make()
+        forest, store, constraints = self.make()
         condition = branching_condition()
-        first = circuits.probability(condition)
-        second = circuits.probability(condition)
+        first = forest.probability(condition)
+        second = forest.probability(condition)
         assert first == second
-        stats = circuits.stats()
+        stats = forest.stats()
         assert stats["circuits_compiled"] == 1
         assert stats["circuit_reuses"] == 1
         assert stats["propagations"] == 0
 
     def test_answers_propagate_without_recompiling(self):
-        circuits, store, constraints = self.make()
+        forest, store, constraints = self.make()
         condition = branching_condition()
-        circuits.probability(condition, obj=7)
+        forest.probability(condition, obj=7)
         for cut, obj in ((1, 0), (0, 1), (2, 2)):
             constraints.apply_answer(
                 var_greater_const(obj, 0, cut), Relation.GREATER
             )
-            value = circuits.probability(condition, obj=7)
+            value = forest.probability(condition, obj=7)
             assert value == pytest.approx(
                 naive_probability(condition, store), abs=1e-9
             )
-        stats = circuits.stats()
+        stats = forest.stats()
         assert stats["circuits_compiled"] == 1
         assert stats["recompiles"] == 0
         assert stats["propagations"] == 3
 
     def test_changed_condition_counts_recompile(self):
-        circuits, store, constraints = self.make()
+        forest, store, constraints = self.make()
         condition = branching_condition()
-        circuits.probability(condition, obj=7)
+        forest.probability(condition, obj=7)
         simplified = condition.assign_expression(var_greater_var(0, 1, 0), True)
         assert simplified != condition
-        circuits.probability(simplified, obj=7)
-        stats = circuits.stats()
+        forest.probability(simplified, obj=7)
+        stats = forest.stats()
         assert stats["circuits_compiled"] == 2
         assert stats["recompiles"] == 1
 
     def test_eviction_recompile_is_counted(self):
-        constraints = VariableConstraints([4])
-        store = uniform_store(constraints=constraints)
-        circuits = CircuitStore(store, cache_size=1)
+        forest, store, constraints = self.make(capacity=1)
         a = Condition.of([[var_greater_const(0, 0, 1)]])
         b = Condition.of([[var_greater_const(1, 0, 2)]])
-        circuits.probability(a)
-        circuits.probability(b)  # evicts a
-        circuits.probability(a)  # recompile of a previously compiled condition
-        assert circuits.stats()["recompiles"] == 1
-        assert circuits.stats()["circuits_compiled"] == 3
+        forest.probability(a)
+        forest.probability(b)  # evicts a
+        forest.probability(a)  # recompile of a previously compiled condition
+        assert forest.stats()["recompiles"] == 1
+        assert forest.stats()["circuits_compiled"] == 3
 
     def test_constants_short_circuit(self):
-        circuits, __, ___ = self.make()
-        assert circuits.probability(Condition.true()) == 1.0
-        assert circuits.probability(Condition.false()) == 0.0
-        assert circuits.stats()["circuits_compiled"] == 0
+        forest, __, ___ = self.make()
+        assert forest.probability(Condition.true()) == 1.0
+        assert forest.probability(Condition.false()) == 0.0
+        assert forest.stats()["circuits_compiled"] == 0
+        assert len(forest) == 0
 
     def test_budget_trip_leaves_counters_clean(self):
-        constraints = VariableConstraints([4])
-        store = uniform_store(constraints=constraints)
-        circuits = CircuitStore(store, node_budget=4)
+        forest, __, ___ = self.make(node_budget=4)
         with pytest.raises(ResourceBudgetError):
-            circuits.probability(branching_condition())
-        assert circuits.stats()["circuits_compiled"] == 0
-        assert circuits.stats()["circuit_nodes"] == 0
+            forest.probability(branching_condition())
+        assert forest.stats()["circuits_compiled"] == 0
+        assert forest.stats()["circuit_nodes"] == 0
 
 
 class TestCircuitForest:
@@ -335,7 +349,7 @@ class TestCircuitForest:
         assert 0.0 < stats["shared_fraction"] < 1.0
         # shared forest is strictly smaller than the sum of circuit sizes
         individual = sum(
-            len(compile_condition(c, store)) for c in conditions
+            compile_one(c, store)[0].forest_nodes for c in conditions
         )
         assert stats["forest_nodes"] < individual
         for condition in conditions:
@@ -403,31 +417,36 @@ class TestCircuitForest:
 
 
 class TestEngineCompiledBackend:
+    """The engine's compiled-circuit backend (``backend="forest"``)."""
+
     def test_rejects_bad_backend_combinations(self):
         with pytest.raises(ValueError):
             ProbabilityEngine(uniform_store(), backend="magic")
+        with pytest.raises(ValueError) as err:
+            ProbabilityEngine(uniform_store(), backend="compiled")
+        assert "forest" in str(err.value)
         with pytest.raises(ValueError):
-            ProbabilityEngine(uniform_store(), method="naive", backend="compiled")
+            ProbabilityEngine(uniform_store(), method="naive", backend="forest")
 
     def test_compiled_matches_adpll_engine(self):
         constraints = VariableConstraints([4])
-        compiled = ProbabilityEngine(
-            uniform_store(constraints=constraints), backend="compiled"
+        forest = ProbabilityEngine(
+            uniform_store(constraints=constraints), backend="forest"
         )
         plain = ProbabilityEngine(uniform_store(constraints=constraints))
         condition = branching_condition()
-        assert compiled.probability(condition) == pytest.approx(
+        assert forest.probability(condition) == pytest.approx(
             plain.probability(condition), abs=1e-9
         )
-        stats = compiled.stats()
-        assert stats["probability_backend"] == "compiled"
+        stats = forest.stats()
+        assert stats["probability_backend"] == "forest"
         assert stats["circuits_compiled"] == 1
         assert stats["compile_fallbacks"] == 0
 
     def test_probability_many_objects_threading(self):
         constraints = VariableConstraints([4])
         store = uniform_store(constraints=constraints)
-        engine = ProbabilityEngine(store, backend="compiled")
+        engine = ProbabilityEngine(store, backend="forest")
         conditions = [
             branching_condition(),
             Condition.of([[var_greater_const(0, 0, 1)]]),
@@ -441,7 +460,7 @@ class TestEngineCompiledBackend:
     def test_budget_trip_degrades_to_adpll_exactly(self):
         constraints = VariableConstraints([4])
         store = uniform_store(constraints=constraints)
-        engine = ProbabilityEngine(store, backend="compiled", compile_node_budget=4)
+        engine = ProbabilityEngine(store, backend="forest", compile_node_budget=4)
         condition = branching_condition()
         value = engine.probability(condition)
         assert value == pytest.approx(naive_probability(condition, store), abs=1e-9)
@@ -454,7 +473,7 @@ class TestEngineCompiledBackend:
         store = uniform_store(constraints=constraints)
         engine = ProbabilityEngine(
             store,
-            backend="compiled",
+            backend="forest",
             compile_node_budget=4,
             breaker_threshold=2,
             use_cache=False,
@@ -477,7 +496,7 @@ class TestEngineCompiledBackend:
         store = uniform_store(constraints=constraints)
         engine = ProbabilityEngine(
             store,
-            backend="compiled",
+            backend="forest",
             compile_node_budget=4,
             node_budget=1,
         )
@@ -499,26 +518,22 @@ class TestEngineCompiledBackend:
             for o in range(3)
             for c in range(3)
         ]
-        sequential = ProbabilityEngine(store, backend="compiled").probability_many(
+        sequential = ProbabilityEngine(store, backend="forest").probability_many(
             conditions
         )
         pooled = ProbabilityEngine(
-            store, backend="compiled", n_jobs=2
+            store, backend="forest", n_jobs=2
         ).probability_many(conditions, chunk_size=2)
         assert pooled == pytest.approx(sequential, abs=1e-12)
 
 
 class TestConfigAndQuery:
     def test_config_knobs_validate(self):
-        config = BayesCrowdConfig(probability_backend="compiled")
+        config = BayesCrowdConfig(probability_backend="forest")
         assert config.compile_node_budget == DEFAULT_COMPILE_NODE_BUDGET
         assert config.circuit_cache_size == DEFAULT_CIRCUIT_CACHE_SIZE
         with pytest.raises(ValueError):
             BayesCrowdConfig(probability_backend="magic")
-        with pytest.raises(ValueError):
-            BayesCrowdConfig(
-                probability_backend="compiled", probability_method="naive"
-            )
         with pytest.raises(ValueError):
             BayesCrowdConfig(
                 probability_backend="forest", probability_method="naive"
@@ -532,10 +547,18 @@ class TestConfigAndQuery:
         with pytest.raises(ValueError):
             BayesCrowdConfig(circuit_cache_size=True)
 
+    def test_removed_compiled_backend_is_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            BayesCrowdConfig(probability_backend="compiled")
+        message = str(err.value)
+        assert "'compiled'" in message
+        assert "adpll" in message and "forest" in message
+
     def test_end_to_end_compiled_query_matches_adpll(self):
+        """The forest backend reproduces the adpll run round for round."""
         dataset = generate_nba(n_objects=25, missing_rate=0.4, seed=5)
         results = {}
-        for backend in ("adpll", "compiled"):
+        for backend in ("adpll", "forest"):
             config = BayesCrowdConfig(
                 alpha=0.1,
                 budget=12,
@@ -546,13 +569,16 @@ class TestConfigAndQuery:
             )
             result = BayesCrowd(dataset, config).run()
             results[backend] = result
-        assert results["compiled"].answers == results["adpll"].answers
-        for obj, p in results["compiled"].answer_probabilities.items():
+        assert results["forest"].answers == results["adpll"].answers
+        assert [r.objects for r in results["forest"].history] == [
+            r.objects for r in results["adpll"].history
+        ]
+        for obj, p in results["forest"].answer_probabilities.items():
             assert p == pytest.approx(
                 results["adpll"].answer_probabilities[obj], abs=1e-9
             )
-        stats = results["compiled"].engine_stats
-        assert stats["probability_backend"] == "compiled"
+        stats = results["forest"].engine_stats
+        assert stats["probability_backend"] == "forest"
         assert stats["circuits_compiled"] > 0
         assert stats["circuit_nodes"] >= stats["circuits_compiled"]
 

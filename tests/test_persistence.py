@@ -428,6 +428,23 @@ class TestCheckpointVersionMatrix:
         assert result.resumed
         assert result.answers
 
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_resumes_on_the_forest_backend(self, tmp_path, version):
+        """The fingerprint never recorded the probability backend, so a
+        checkpoint of any vintage resumes on either surviving backend --
+        with identical results."""
+        dataset, config, path = self._mid_run_file(tmp_path, version)
+        text = path.read_text()
+        results = {}
+        for backend in ("adpll", "forest"):
+            path.write_text(text)
+            config.probability_backend = backend
+            results[backend] = BayesCrowd(dataset, config).run(
+                checkpoint_path=path, resume=True
+            )
+        assert results["forest"].resumed
+        assert results["forest"].answers == results["adpll"].answers
+
     def test_future_version_still_rejected(self, tmp_path):
         dataset, config, path = self._mid_run_file(tmp_path, 3)
         data = json.loads(path.read_text())

@@ -434,6 +434,17 @@ class TestServerBasics:
         assert status == 400
         assert "trace_path" in body["error"]
 
+    def test_removed_compiled_backend_is_400(self, server):
+        _make_dataset(server, "d1", n=40)
+        status, body, _, _ = server.request(
+            "POST",
+            "/v1/sessions",
+            {"dataset_id": "d1", "config": {"probability_backend": "compiled"}},
+        )
+        assert status == 400
+        assert "'compiled'" in body["error"]
+        assert "adpll" in body["error"] and "forest" in body["error"]
+
 
 # ----------------------------------------------------------------------
 # admission control & backpressure
@@ -668,6 +679,37 @@ class TestDrainAndRecovery:
             assert status == 200 and body["draining"] is True
         finally:
             handle.stop()
+
+    def test_recovering_removed_backend_marks_session_failed(self, tmp_path):
+        """A stored session whose config names a removed backend fails
+        recovery cleanly; the server starts and keeps serving."""
+        handle = ServerHandle(_settings(tmp_path))
+        data_dir = handle.settings.data_dir
+        try:
+            _make_dataset(handle, "d1", n=40)
+        finally:
+            handle.stop()
+        ServiceStore(data_dir).create_session(
+            "legacy",
+            {
+                "dataset_id": "d1",
+                "platform": "simulated",
+                "config": {"budget": 6, "probability_backend": "compiled"},
+                "state": "RUNNING",
+                "created_at": time.time(),
+            },
+        )
+        restarted = ServerHandle(_settings(tmp_path))
+        try:
+            status, _, _, _ = restarted.request("GET", "/healthz")
+            assert status == 200
+            meta = ServiceStore(data_dir).session_meta("legacy")
+            assert meta["state"] == "FAILED"
+            assert meta["error"].startswith("unrecoverable: invalid config")
+            assert "'compiled'" in meta["error"]
+        finally:
+            restarted.stop()
+        assert ServiceStore(data_dir).recoverable_sessions() == []
 
     def test_cancel_is_terminal_and_not_recovered(self, tmp_path):
         handle = ServerHandle(_settings(tmp_path))
