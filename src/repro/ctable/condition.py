@@ -224,7 +224,9 @@ class Condition:
             groups.setdefault(find(index), []).append(clause)
         if len(groups) == 1:
             return [self]
-        return [Condition.of(clauses) for clauses in groups.values()]
+        # Each group keeps its clauses in this condition's order, and a
+        # subsequence of canonical clauses is canonical: no re-normalizing.
+        return [Condition(clauses=tuple(clauses)) for clauses in groups.values()]
 
     # ------------------------------------------------------------------
     # semantics

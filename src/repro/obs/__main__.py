@@ -57,6 +57,9 @@ PROBABILITY_COUNTERS = (
     "engine_nodes_shared",
 )
 
+#: ADPLL work counters: branch nodes, and the split kernel's share of them.
+ADPLL_COUNTERS = ("engine_adpll_branches", "engine_adpll_split_values")
+
 
 def verify_probability(snapshot: dict, require: bool = False) -> List[str]:
     """Problems with the forest backend's circuit accounting (empty = ok).
@@ -102,6 +105,30 @@ def verify_probability(snapshot: dict, require: bool = False) -> List[str]:
             % (counters["engine_nodes_shared"],)
         )
     return problems
+
+
+def verify_adpll(snapshot: dict, require: bool = False) -> List[str]:
+    """Problems with the ADPLL work counters (empty = consistent).
+
+    Every value the split kernel prices is one branch node, so
+    ``0 <= adpll_split_values <= adpll_branches``.  With
+    ``require=False`` snapshots that predate the counters pass
+    vacuously; ``require=True`` makes their absence an error.
+    """
+    counters = snapshot.get("counters", {})
+    missing = [name for name in ADPLL_COUNTERS if name not in counters]
+    if missing:
+        if require:
+            return ["ADPLL counter(s) missing: %s" % ", ".join(missing)]
+        return []
+    branches = counters["engine_adpll_branches"]
+    split_values = counters["engine_adpll_split_values"]
+    if not 0 <= split_values <= branches:
+        return [
+            "engine_adpll_split_values %r outside [0, engine_adpll_branches %r]"
+            % (split_values, branches)
+        ]
+    return []
 
 
 def verify_ctable(snapshot: dict, require: bool = False) -> List[str]:
@@ -334,10 +361,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--probability", action="store_true",
-        help="require the circuit counters and check "
+        help="require the circuit and ADPLL counters and check "
         "their accounting invariants (recompiles <= circuits_compiled, "
-        "circuit_nodes >= circuits_compiled); without this flag the "
-        "invariants are still checked whenever the counters are present",
+        "circuit_nodes >= circuits_compiled, adpll_split_values <= "
+        "adpll_branches); without this flag the invariants are still "
+        "checked whenever the counters are present",
     )
     parser.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -378,6 +406,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("ctable problem: %s" % problem, file=sys.stderr)
         return 2
     probability_problems = verify_probability(snapshot, require=args.probability)
+    probability_problems += verify_adpll(snapshot, require=args.probability)
     if probability_problems:
         for problem in probability_problems:
             print("probability problem: %s" % problem, file=sys.stderr)
@@ -398,7 +427,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.ctable:
         print("ctable ok: pairs_tested + pairs_pruned == pair_universe")
     if args.probability:
-        print("probability ok: circuit compile/propagate accounting adds up")
+        print(
+            "probability ok: circuit compile/propagate and ADPLL split "
+            "accounting adds up"
+        )
     if args.trace is not None:
         problems = verify_trace(args.trace)
         if problems:

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, List, Optional, Tuple
 
 from ..ctable.condition import Condition
+from ..ctable.expression import Var
 from ..datasets.dataset import Variable
 from ..errors import ResourceBudgetError
 from ..lru import LRUCache
@@ -79,6 +81,26 @@ def pick_branch_variable(
     return min(counts)
 
 
+def _clause_log_probability(clause, store: DistributionStore) -> float:
+    """``log Pr(clause)`` of one disjunction over variable-disjoint expressions.
+
+    A certainly-true expression makes the clause certain (``0.0``; the
+    ``log1p(-1)`` it would need raises instead), and an impossible clause
+    -- every expression certainly false, or none left -- is ``-inf``.
+    The expression order does not matter: ``fsum`` rounds exactly once.
+    """
+    log_none_true = []
+    for expression in clause:
+        p = store.prob_expression(expression)
+        if p >= 1.0:
+            return 0.0
+        log_none_true.append(math.log1p(-p))
+    clause_p = -math.expm1(math.fsum(log_none_true))
+    if clause_p <= 0.0:
+        return -math.inf
+    return math.log(clause_p)
+
+
 def _independent_probability(condition: Condition, store: DistributionStore) -> float:
     """Direct evaluation via the conjunctive + disjunctive rules.
 
@@ -88,25 +110,15 @@ def _independent_probability(condition: Condition, store: DistributionStore) -> 
     past the engine's 1e-9 parity budget -- and a long conjunction of
     near-zero clause probabilities underflows to 0 earlier than the log
     sum does.  ``fsum(log1p(-p))`` keeps both exact to the last rounding.
+    The clause logs are summed in the condition's canonical clause order,
+    which the split kernel (:meth:`ADPLL._split`) reproduces bit for bit.
     """
     log_result = 0.0
     for clause in condition.clauses:
-        log_none_true = []
-        certain = False
-        for expression in clause:
-            p = store.prob_expression(expression)
-            if p >= 1.0:
-                # A certainly-true expression satisfies the clause: the
-                # factor is exactly 1 (log1p(-1) would raise instead).
-                certain = True
-                break
-            log_none_true.append(math.log1p(-p))
-        if certain:
-            continue
-        clause_p = -math.expm1(math.fsum(log_none_true))
-        if clause_p <= 0.0:
+        log_p = _clause_log_probability(clause, store)
+        if log_p == -math.inf:
             return 0.0
-        log_result += math.log(clause_p)
+        log_result += log_p
     return math.exp(log_result)
 
 
@@ -157,6 +169,8 @@ class ADPLL:
         self._memo: "LRUCache[Condition, Tuple[float, int]]" = LRUCache(memo_size)
         #: number of branching (variable assignment) steps taken so far
         self.branch_count = 0
+        #: values the split kernel priced without building a residual
+        self.split_values = 0
         #: probability calls aborted by the resource guard
         self.guard_trips = 0
         self._call_branch_start = 0
@@ -266,13 +280,115 @@ class ADPLL:
         variable = self._pick_branch_variable(condition)
         pmf = self._store.pmf(variable)
         support = self._store.support(variable)
-        total = 0.0
         # One bulk ndarray->list conversion instead of a float()/indexing
         # pair per iteration: this loop is the deepest hot path.
-        for value, weight in zip(support.tolist(), pmf[support].tolist()):
+        values = support.tolist()
+        weights = pmf[support].tolist()
+        if self._single_split(condition, variable):
+            return self._split(condition, variable, values, weights)
+        total = 0.0
+        for value, weight in zip(values, weights):
             residual = condition.substitute(variable, value)
             self.branch_count += 1
             total += weight * self._probability(residual)
+        return total
+
+    @staticmethod
+    def _single_split(condition: Condition, variable: Variable) -> bool:
+        """True when every variable but ``variable`` occurs exactly once.
+
+        Then no residual ``condition[variable := x]`` needs a further split
+        (each is variable-disjoint), and no two of its clauses coincide
+        (each keeps an expression over variables no other clause has).
+        """
+        counts = condition.variable_counts()
+        return sum(counts.values()) - counts[variable] == len(counts) - 1
+
+    def _split(
+        self,
+        condition: Condition,
+        variable: Variable,
+        values: List[int],
+        weights: List[float],
+    ) -> float:
+        """The split kernel: ``sum p(x) * Pr(condition[variable := x])``.
+
+        For a single split the residuals are all variable-disjoint, so
+        instead of building a residual :class:`Condition` per value
+        (substitute, sort, hash, memo round-trip) one plan per split
+        records for each clause the values of ``x`` that satisfy it
+        (``v > c`` holds iff ``x > c``; ``c > v`` iff ``x < c``), the
+        sort key of the rest of the clause and that rest's
+        log-probability.  Only clauses with a ``v``-vs-``w`` expression
+        are re-priced per value, since their residual (``x > w`` or
+        ``w > x``) moves with ``x``.  Each value sums its clause logs in
+        the residual's canonical clause order, as
+        :func:`_independent_probability` does, so the result is
+        bit-identical to the general branch.  Nothing is memoized: the
+        residuals are never materialized.
+        """
+        store = self._store
+        #: (rest's sort key, above, below, log-probability): a clause is
+        #: satisfied when ``x > above`` or ``x < below``
+        fixed = []
+        #: (above, below, rest, v-vs-w expressions)
+        moving = []
+        for clause in condition.clauses:
+            above = math.inf
+            below = -math.inf
+            rest = []
+            pairs = []
+            for expression in clause:
+                names = expression.variables()
+                if variable not in names:
+                    rest.append(expression)
+                elif len(names) == 1:
+                    if isinstance(expression.left, Var):
+                        above = min(above, expression.right.value)
+                    else:
+                        below = max(below, expression.left.value)
+                elif names[0] != names[1]:
+                    pairs.append(expression)
+            if pairs:
+                moving.append((above, below, rest, pairs))
+                continue
+            log_p = _clause_log_probability(rest, store)
+            if log_p != 0.0:  # a certain clause never moves the sum
+                fixed.append((tuple(e.sort_key() for e in rest), above, below, log_p))
+        fixed.sort(key=itemgetter(0))
+        total = 0.0
+        for value, weight in zip(values, weights):
+            # An emptied or impossible clause adds -inf: exp gives the 0.0
+            # the general branch returns for a false residual.
+            if moving:
+                terms = [
+                    (key, log_p)
+                    for key, above, below, log_p in fixed
+                    if below <= value <= above
+                ]
+                for above, below, rest, pairs in moving:
+                    if below <= value <= above:
+                        reduced = rest + [e.substitute(variable, value) for e in pairs]
+                        terms.append(
+                            (
+                                tuple(sorted(e.sort_key() for e in reduced)),
+                                _clause_log_probability(reduced, store),
+                            )
+                        )
+                terms.sort(key=itemgetter(0))
+                log_result = 0.0
+                for __, log_p in terms:
+                    log_result += log_p
+            else:
+                log_result = 0.0
+                for __, above, below, log_p in fixed:
+                    if below <= value <= above:
+                        log_result += log_p
+            total += weight * math.exp(log_result)
+        # One branch node per value, as the general branch counts them; no
+        # guard check runs inside the kernel, so trip points do not move.
+        self.branch_count += len(values)
+        self.split_values += len(values)
         return total
 
 

@@ -29,6 +29,52 @@ from ..datasets.dataset import Variable
 _BULK_GATHER_MIN = 8
 
 
+#: ``np.isclose(total, 1.0, atol=1e-6)`` spelled out: its bound at 1.0
+_SUM_TOLERANCE = 1e-6 + 1e-5 * 1.0
+
+
+def _normalized_pmfs(base: Mapping[Variable, np.ndarray]) -> Dict[Variable, np.ndarray]:
+    """Each pmf of ``base`` divided by its sum, after validating it.
+
+    A pmf must be a non-empty vector with no negative entry that sums to 1
+    within ``np.isclose`` tolerance (NaN and inf fail).  The common, valid
+    case is checked with one plain-float sum test per variable and one
+    batched sign test over all pmfs; only when either fails does the
+    per-variable check run, to raise for the first bad variable.
+    """
+    out: Dict[Variable, np.ndarray] = {}
+    arrays = []
+    # A bad pmf's sum may overflow or be NaN: stay quiet here and let the
+    # per-variable checks below raise (and warn) for it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for variable, pmf in base.items():
+            pmf = np.asarray(pmf, dtype=np.float64)
+            if pmf.ndim != 1 or pmf.size == 0:
+                break
+            total = pmf.sum()
+            if not abs(float(total) - 1.0) <= _SUM_TOLERANCE:
+                break
+            out[variable] = pmf / total
+            arrays.append(pmf)
+        else:
+            # Every sum is finite, so no entry is NaN or inf and ``min``
+            # sees every sign.
+            if not arrays or np.concatenate(arrays).min() >= 0.0:
+                return out
+    out = {}
+    for variable, pmf in base.items():
+        pmf = np.asarray(pmf, dtype=np.float64)
+        if pmf.ndim != 1 or pmf.size == 0:
+            raise ValueError("pmf of %s must be a non-empty vector" % (variable,))
+        if (pmf < 0).any():
+            raise ValueError("pmf of %s has negative entries" % (variable,))
+        total = pmf.sum()
+        if not np.isclose(total, 1.0, atol=1e-6):
+            raise ValueError("pmf of %s sums to %r, not 1" % (variable, total))
+        out[variable] = pmf / total
+    return out
+
+
 class DistributionStore:
     """Maps variables to (possibly constraint-restricted) pmfs."""
 
@@ -37,17 +83,7 @@ class DistributionStore:
         base: Mapping[Variable, np.ndarray],
         constraints: Optional[VariableConstraints] = None,
     ) -> None:
-        self._base: Dict[Variable, np.ndarray] = {}
-        for variable, pmf in base.items():
-            pmf = np.asarray(pmf, dtype=np.float64)
-            if pmf.ndim != 1 or pmf.size == 0:
-                raise ValueError("pmf of %s must be a non-empty vector" % (variable,))
-            if (pmf < 0).any():
-                raise ValueError("pmf of %s has negative entries" % (variable,))
-            total = pmf.sum()
-            if not np.isclose(total, 1.0, atol=1e-6):
-                raise ValueError("pmf of %s sums to %r, not 1" % (variable, total))
-            self._base[variable] = pmf / total
+        self._base: Dict[Variable, np.ndarray] = _normalized_pmfs(base)
         self._constraints = constraints
         # Hot-path caches, validated against per-variable constraint versions:
         # leaf expressions repeat heavily across ADPLL branches.

@@ -734,6 +734,10 @@ class ProbabilityEngine:
         stats["guard_active"] = 1 if self.guard_active else 0
         stats["guard_fallbacks"] = self.n_guard_fallbacks
         stats["guard_trips"] = self._adpll.guard_trips
+        # ADPLL work in this process: branch nodes, and the values among
+        # them the split kernel priced without building a residual.
+        stats["adpll_branches"] = self._adpll.branch_count
+        stats["adpll_split_values"] = self._adpll.split_values
         if self.breaker is not None:
             for key, value in self.breaker.stats().items():
                 stats[key] = value

@@ -18,7 +18,7 @@ from repro.obs import (
     read_events,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.__main__ import verify_selection, verify_trace
+from repro.obs.__main__ import verify_adpll, verify_selection, verify_trace
 
 
 def movie_query(**kwargs):
@@ -289,6 +289,94 @@ class TestPreprocessAttribution:
         bad.write_text("".join(json.dumps(event) + "\n" for event in events))
         problems = verify_trace(str(bad))
         assert any("preprocess stage spans" in problem for problem in problems)
+
+
+class TestProbabilityAttribution:
+    """Engine setup is timed inside the initial ``probability`` span, and
+    the ADPLL work counters reach the run metrics."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("probability")
+        trace_path = out / "trace.jsonl"
+        metrics_path = out / "metrics.json"
+        dataset = generate_synthetic(n_objects=200, missing_rate=0.1, seed=5)
+        config = BayesCrowdConfig(
+            budget=10,
+            latency=5,
+            alpha=0.05,
+            trace_path=trace_path,
+            metrics_path=metrics_path,
+        )
+        result = BayesCrowd(dataset, config).run()
+        return result, trace_path, metrics_path
+
+    def test_setup_span_nests_under_initial_probability(self, traced):
+        result, __, ___ = traced
+        (setup,) = [s for s in result.trace if s["name"] == "probability.setup"]
+        initial = next(s for s in result.trace if s["name"] == "probability")
+        assert setup["parent"] == "probability"
+        assert initial["attrs"]["stage"] == "initial"
+        assert 0.0 < setup["seconds"] <= initial["seconds"]
+
+    def test_verifier_accepts_setup_phase(self, traced, capsys):
+        __, trace_path, metrics_path = traced
+        phases = [*PIPELINE_PHASES, "probability.setup"]
+        argv = [str(metrics_path), "--trace", str(trace_path), "--phases", *phases]
+        assert obs_main(argv) == 0
+        assert "trace ok" in capsys.readouterr().out
+
+    def test_adpll_counters_exported(self, traced):
+        result, __, ___ = traced
+        counters = result.metrics["counters"]
+        branches = counters["engine_adpll_branches"]
+        assert branches == result.engine_stats["adpll_branches"] > 0
+        assert counters["engine_adpll_split_values"] == (
+            result.engine_stats["adpll_split_values"]
+        )
+        assert 0 < counters["engine_adpll_split_values"] <= branches
+
+    def test_probability_flag_checks_adpll_counters(self, traced, capsys):
+        __, ___, metrics_path = traced
+        assert obs_main([str(metrics_path), "--probability"]) == 0
+        assert "ADPLL split accounting adds up" in capsys.readouterr().out
+
+    def test_split_values_above_branches_fail_cli(self, traced, tmp_path, capsys):
+        __, ___, metrics_path = traced
+        snapshot = json.loads(metrics_path.read_text())
+        counters = snapshot["counters"]
+        counters["engine_adpll_split_values"] = counters["engine_adpll_branches"] + 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(snapshot))
+        assert obs_main([str(bad)]) == 2
+        assert "engine_adpll_split_values" in capsys.readouterr().err
+
+
+class TestADPLLVerifier:
+    @staticmethod
+    def snapshot(branches=40, split_values=25):
+        return {
+            "counters": {
+                "engine_adpll_branches": branches,
+                "engine_adpll_split_values": split_values,
+            }
+        }
+
+    def test_consistent_counters_pass(self):
+        assert verify_adpll(self.snapshot(), require=True) == []
+        assert verify_adpll(self.snapshot(branches=0, split_values=0)) == []
+
+    def test_missing_counters_pass_unless_required(self):
+        assert verify_adpll({"counters": {}}) == []
+        problems = verify_adpll({"counters": {}}, require=True)
+        assert problems and "missing" in problems[0]
+
+    def test_split_values_cannot_exceed_branches(self):
+        problems = verify_adpll(self.snapshot(split_values=41))
+        assert problems and "engine_adpll_split_values" in problems[0]
+
+    def test_negative_split_values_rejected(self):
+        assert verify_adpll(self.snapshot(split_values=-1)) != []
 
 
 def selection_snapshot(candidates=10, evals=6, hits=3, skipped=1, ratio=0.4):

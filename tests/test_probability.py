@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.ctable import (
@@ -15,6 +15,7 @@ from repro.ctable import (
     var_greater_const,
     var_greater_var,
 )
+from repro.errors import ResourceBudgetError
 from repro.probability import (
     ADPLL,
     DistributionStore,
@@ -560,3 +561,271 @@ class TestIndependentProbabilityPrecision:
         store = DistributionStore({V: pmf, W: np.array([0.5, 0.5])})
         condition = Condition.of([[var_greater_const(0, 0, 0)]])
         assert adpll_probability(condition, store) == 1.0
+
+
+# ----------------------------------------------------------------------
+# the split kernel: single splits priced without residual conditions
+# ----------------------------------------------------------------------
+@st.composite
+def single_split_case(draw):
+    """A condition in which only the split variable ``V`` repeats.
+
+    Expressions mix ``V``-vs-constant (constants at 0, the domain max and
+    one past it), ``V``-vs-``w`` in both directions (in half the cases),
+    and expressions over fresh variables; a clause of ``V``-vs-constant
+    expressions alone is emptied by every value that fails it, and
+    ``all_satisfied`` adds the always-true ``D > V`` to every clause.
+    ``V``'s pmf may leave values out of the support.
+    """
+    domain = draw(st.integers(2, 5))
+    weights = draw(
+        st.lists(st.integers(0, 4), min_size=domain, max_size=domain).filter(any)
+    )
+    pmfs = {V: np.array(weights, dtype=float) / sum(weights)}
+    constants = st.sampled_from(sorted({0, 1, domain - 1, domain}))
+
+    def fresh():
+        obj = len(pmfs)
+        size = draw(st.integers(2, 5))
+        cells = np.array([draw(st.integers(1, 4)) for __ in range(size)], dtype=float)
+        pmfs[(obj, 0)] = cells / cells.sum()
+        return obj
+
+    all_satisfied = draw(st.booleans())
+    kinds = ["vc", "cv", "wc", "cw"]
+    if draw(st.booleans()):  # else every clause's rest is fixed per split
+        kinds += ["vw", "wv"]
+    clauses = []
+    for __ in range(draw(st.integers(1, 6))):
+        clause = [const_greater_var(domain, 0, 0)] if all_satisfied else []
+        for __ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "vc":
+                clause.append(var_greater_const(0, 0, draw(constants)))
+            elif kind == "cv":
+                clause.append(const_greater_var(draw(constants), 0, 0))
+            elif kind == "vw":
+                clause.append(var_greater_var(0, fresh(), 0))
+            elif kind == "wv":
+                clause.append(var_greater_var(fresh(), 0, 0))
+            elif kind == "wc":
+                clause.append(var_greater_const(fresh(), 0, draw(constants)))
+            else:
+                clause.append(const_greater_var(draw(constants), fresh(), 0))
+        clauses.append(clause)
+    condition = Condition.of(clauses)
+    assume(not condition.is_constant and condition.variable_counts()[V] >= 2)
+    return condition, DistributionStore(pmfs)
+
+
+@st.composite
+def conditions_and_store(draw):
+    """Several conditions over four shared variables, any of them repeating."""
+    variables = [(o, 0) for o in range(4)]
+    domain = draw(st.integers(2, 4))
+    pmfs = {}
+    for v in variables:
+        cells = np.array([draw(st.integers(0, 3)) for __ in range(domain)], dtype=float)
+        cells[draw(st.integers(0, domain - 1))] += 1.0
+        pmfs[v] = cells / cells.sum()
+    conditions = []
+    for __ in range(draw(st.integers(1, 4))):
+        clauses = []
+        for __ in range(draw(st.integers(1, 4))):
+            clause = []
+            for __ in range(draw(st.integers(1, 3))):
+                obj = draw(st.sampled_from(variables))[0]
+                kind = draw(st.sampled_from(["vc", "cv", "vv"]))
+                if kind == "vc":
+                    clause.append(var_greater_const(obj, 0, draw(st.integers(0, domain))))
+                elif kind == "cv":
+                    clause.append(const_greater_var(draw(st.integers(0, domain)), obj, 0))
+                else:
+                    other = draw(st.sampled_from([v for v in variables if v[0] != obj]))
+                    clause.append(var_greater_var(obj, other[0], 0))
+            clauses.append(clause)
+        conditions.append(Condition.of(clauses))
+    return conditions, DistributionStore(pmfs)
+
+
+def general_branch_solver(store, **kwargs):
+    """An ADPLL that never takes the split kernel: one residual per value."""
+    solver = ADPLL(store, **kwargs)
+    solver._single_split = lambda condition, variable: False
+    return solver
+
+
+def assert_split_equals_residual_sum(condition, store):
+    """The kernel's ``_branch`` is ``sum w * Pr(residual)`` in support order."""
+    solver = ADPLL(store)
+    assert solver._single_split(condition, V)
+    value = solver._branch(condition)
+    reference = ADPLL(store)
+    support = store.support(V)
+    expected = 0.0
+    for x, weight in zip(support.tolist(), store.pmf(V)[support].tolist()):
+        expected += weight * reference._probability(condition.substitute(V, x))
+    assert value == expected
+    assert solver.split_values == solver.branch_count == len(support)
+    worlds = np.prod([len(store.pmf(v)) for v in condition.variables()])
+    if worlds <= 5000:  # keep the enumeration cheap
+        assert value == pytest.approx(naive_probability(condition, store), abs=1e-9)
+
+
+class TestSplitKernel:
+    @given(single_split_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sum_over_residuals_bit_for_bit(self, case):
+        assert_split_equals_residual_sum(*case)
+
+    def test_moving_clause_sums_in_residual_order(self):
+        """``V > w`` re-sorts behind the fixed clauses once ``V`` is fixed;
+        summing the clause logs in any other order rounds differently."""
+        condition = Condition.of(
+            [
+                [var_greater_const(0, 0, 0)],
+                [var_greater_var(0, 3, 0)],
+                [var_greater_const(1, 0, 0)],
+                [var_greater_const(2, 0, 0)],
+            ]
+        )
+        store = DistributionStore(
+            {
+                V: np.array([0.0, 0.0, 1.0]),
+                W: np.array([0.5, 0.5]),
+                U: np.array([2.0, 1.0]) / 3.0,
+                (3, 0): np.full(3, 1.0 / 3.0),
+            }
+        )
+        assert_split_equals_residual_sum(condition, store)
+
+    def test_fixed_clauses_sum_in_residual_order(self):
+        """Dropping ``V``'s expressions reorders the fixed clauses."""
+        condition = Condition.of(
+            [
+                [const_greater_var(2, 0, 0)],
+                [var_greater_const(0, 0, 0)],
+                [var_greater_const(0, 0, 1), var_greater_const(3, 0, 1)],
+                [var_greater_const(1, 0, 0)],
+                [var_greater_const(2, 0, 0)],
+            ]
+        )
+        store = DistributionStore(
+            {
+                V: np.array([0.0, 1.0]),
+                W: np.array([0.5, 0.5]),
+                U: np.array([0.5, 0.5]),
+                (3, 0): np.full(3, 1.0 / 3.0),
+            }
+        )
+        assert_split_equals_residual_sum(condition, store)
+
+    @given(conditions_and_store())
+    @settings(max_examples=150, deadline=None)
+    def test_probabilities_match_general_branch_bit_for_bit(self, case):
+        conditions, store = case
+        kernel = ADPLL(store)
+        general = general_branch_solver(store)
+        for condition in conditions:
+            assert kernel.probability(condition) == general.probability(condition)
+        assert kernel.branch_count == general.branch_count
+        assert general.split_values == 0
+        assert kernel.split_values <= kernel.branch_count
+
+    @given(conditions_and_store(), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_node_budget_trips_where_general_branch_does(self, case, budget):
+        """Same calls trip, with the same spent count, under a node budget."""
+        conditions, store = case
+        kernel = ADPLL(store, node_budget=budget)
+        general = general_branch_solver(store, node_budget=budget)
+
+        def outcomes(solver):
+            seen = []
+            for condition in conditions:
+                try:
+                    seen.append(("value", solver.probability(condition)))
+                except ResourceBudgetError as err:
+                    seen.append(("trip", err.spent, err.limit))
+            return seen
+
+        assert outcomes(kernel) == outcomes(general)
+        assert kernel.guard_trips == general.guard_trips
+        assert kernel.branch_count == general.branch_count
+
+    def test_counts_one_branch_per_value(self):
+        condition = Condition.of(
+            [
+                [var_greater_const(0, 0, 0), var_greater_const(1, 0, 2)],
+                [const_greater_var(3, 0, 0), var_greater_var(2, 0, 0)],
+            ]
+        )
+        solver = ADPLL(uniform_store())
+        value = solver.probability(condition)
+        assert solver.branch_count == solver.split_values == 4
+        assert value == pytest.approx(
+            naive_probability(condition, uniform_store()), abs=1e-12
+        )
+
+
+class TestPmfValidation:
+    """The store's validation accepts and rejects exactly what the plain
+    per-variable numpy checks do, with the same messages."""
+
+    @staticmethod
+    def reference(base):
+        out = {}
+        for variable, pmf in base.items():
+            pmf = np.asarray(pmf, dtype=np.float64)
+            if pmf.ndim != 1 or pmf.size == 0:
+                raise ValueError("pmf of %s must be a non-empty vector" % (variable,))
+            if (pmf < 0).any():
+                raise ValueError("pmf of %s has negative entries" % (variable,))
+            total = pmf.sum()
+            if not np.isclose(total, 1.0, atol=1e-6):
+                raise ValueError("pmf of %s sums to %r, not 1" % (variable, total))
+            out[variable] = pmf / total
+        return out
+
+    cells = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from(
+            [0.0, -0.0, -1e-12, -0.5, 1.0 + 1e-5, 1.0 + 1.2e-5, float("nan"),
+             float("inf"), -float("inf")]
+        ),
+    )
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(cells, min_size=0, max_size=4),
+                st.integers(1, 4).map(lambda n: [1.0 / n] * n),
+                st.just([[1.0]]),
+            ),
+            min_size=0,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_per_variable_checks(self, pmfs):
+        base = {(i, 0): np.array(pmf, dtype=np.float64) for i, pmf in enumerate(pmfs)}
+        try:
+            expected = self.reference(base)
+        except ValueError as err:
+            with pytest.raises(ValueError) as excinfo:
+                DistributionStore(base)
+            assert str(excinfo.value) == str(err)
+            return
+        store = DistributionStore(base)
+        assert store._base.keys() == expected.keys()
+        for variable, pmf in expected.items():
+            assert np.array_equal(store.pmf(variable), pmf)
+
+    def test_nan_with_negative_reports_negative(self):
+        with pytest.raises(ValueError, match="negative entries"):
+            DistributionStore({V: np.array([0.5, 0.5]), W: np.array([np.nan, -0.5, 1.5])})
+
+    def test_tolerance_edge(self):
+        DistributionStore({V: np.array([0.5, 0.5 + 1.0e-5])})
+        with pytest.raises(ValueError, match="sums to"):
+            DistributionStore({V: np.array([0.5, 0.5 + 1.2e-5])})
